@@ -3,6 +3,8 @@ package fortd
 import (
 	"fmt"
 	"testing"
+
+	"fortd/internal/profile"
 )
 
 // The benchmark harness regenerates every measurable table/figure of
@@ -385,4 +387,26 @@ func BenchmarkExplainOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkProfileFromEvents measures trace distillation alone: one
+// traced run of the Figure 15 redistribution at P=256 (about 137k
+// events), then profile.FromEvents over the same event slice per
+// iteration — the layer behind fdrun -profile and fdd ?profile=true.
+func BenchmarkProfileFromEvents(b *testing.B) {
+	src := Fig15ScaledSrc(4096, 3, 256)
+	p := mustCompile(b, src, DefaultOptions())
+	tr := NewTrace()
+	if _, err := NewRunner(WithInit(RampInit(src)), WithTrace(tr)).Run(p); err != nil {
+		b.Fatal(err)
+	}
+	evs := tr.Events()
+	b.ReportMetric(float64(len(evs)), "events")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if profile.FromEvents(evs, profile.Meta{}) == nil {
+			b.Fatal("no profile")
+		}
+	}
 }

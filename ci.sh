@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: build, vet, race-enabled tests (which exercise the parallel
-# compile scheduler), a short fuzz smoke of the parser and compile
-# pipeline, and the trace-overhead guard (the disabled-tracing fast path
-# must stay cheap; compare the two sub-benchmarks by hand when touching
-# the instrumentation).
+# compile scheduler), a short fuzz smoke of the parser, the compile
+# pipeline and profile distillation, and the trace-overhead guard (the
+# disabled-tracing fast path must stay cheap; compare the two
+# sub-benchmarks by hand when touching the instrumentation).
 set -eux
 
 test -z "$(gofmt -l .)"
@@ -18,7 +18,13 @@ go test -race -timeout 5m ./...
 FORTD_MACHINE_BACKEND=goroutine go test -race -timeout 5m ./internal/machine ./internal/spmd .
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz FuzzCompile -fuzztime 10s .
+go test -run '^$' -fuzz FuzzProfileFromEvents -fuzztime 10s ./internal/profile
 go test -run '^$' -bench BenchmarkTraceOverhead -benchtime 20x .
+
+# benchmark smoke: the perfbench module runs every workload at a tiny
+# size and cross-checks the profile's blocked share and makespan
+# against the untraced run's Stats
+(cd perfbench && go test ./...)
 
 # deadlock smoke: a deliberately mismatched SPMD program must terminate
 # within the deadline with a non-zero exit and the structured deadlock

@@ -7,6 +7,10 @@
 // a message-size histogram, and metadata identifying what was run
 // (program content hash, workload, P, engine, fault seed).
 //
+// FromEvents distills a profile through trace.Fold, one linear pass
+// over the events in emission order; like the fold, it expects the
+// events of exactly one run, as a fresh tracer collects them.
+//
 // Profiles obey three contracts:
 //
 //   - Determinism: serialization is canonical — equal runs produce
@@ -36,7 +40,6 @@ import (
 	"sort"
 
 	"fortd/internal/trace"
-	"fortd/internal/trace/analyze"
 )
 
 // SchemaVersion is the artifact schema this package reads and writes.
@@ -85,61 +88,17 @@ type Totals struct {
 	CriticalPath float64 `json:"critical_path_us"`
 }
 
-// ProcRow is one processor's time breakdown, summed over runs.
-type ProcRow struct {
-	PID     int     `json:"pid"`
-	Clock   float64 `json:"clock_us"`
-	Compute float64 `json:"compute_us"`
-	Send    float64 `json:"send_us"`
-	Blocked float64 `json:"blocked_us"`
-}
-
-// SiteRow is one communication site's cost, summed over runs. The key
-// is (Proc, Line, PID, Op): PID is -1 for attributed sites and the
-// observing processor for unattributed ones, mirroring
-// analyze.Hotspot, so distinct unattributed sites never collapse.
-type SiteRow struct {
-	Proc string `json:"proc"`
-	Line int    `json:"line"`
-	PID  int    `json:"pid"`
-	Op   string `json:"op"`
-	// Msgs counts messages, Words the payload total.
-	Msgs  int64 `json:"msgs"`
-	Words int64 `json:"words"`
-	// Send is sender-side injection time, Blocked receiver-side stall
-	// time, both in µs summed over runs.
-	Send    float64 `json:"send_us"`
-	Blocked float64 `json:"blocked_us"`
-	// CPShare is the runs-weighted mean of the site's critical-path
-	// share (the worst single processor's cost over the critical path).
-	CPShare float64 `json:"cp_share"`
-}
-
-// Site renders the row's site label, matching analyze.Hotspot.Site.
-func (s SiteRow) Site() string {
-	if s.Proc == "" {
-		if s.PID >= 0 {
-			return fmt.Sprintf("(unattributed p%d)", s.PID)
-		}
-		return "(unattributed)"
-	}
-	if s.Line == 0 {
-		return s.Proc
-	}
-	return fmt.Sprintf("%s:%d", s.Proc, s.Line)
-}
-
-// Cost is the site's total communication time in µs (summed over runs).
-func (s SiteRow) Cost() float64 { return s.Send + s.Blocked }
-
-// Bucket is one message-size histogram class: messages of [Lo, Hi]
-// payload words, counts summed over runs.
-type Bucket struct {
-	Lo    int   `json:"lo"`
-	Hi    int   `json:"hi"`
-	Msgs  int64 `json:"msgs"`
-	Words int64 `json:"words"`
-}
+// The row types are the fold's own (trace.ProcProfile, trace.Hotspot,
+// trace.Bucket), whose JSON tags are the schema. In a profile their
+// extensive fields are sums over Runs, and a site's CPShare is the
+// runs-weighted mean. A site is keyed by (Proc, Line, PID, Op): PID is
+// -1 for attributed sites and the observing processor for unattributed
+// ones, so distinct unattributed sites never collapse.
+type (
+	ProcRow = trace.ProcProfile
+	SiteRow = trace.Hotspot
+	Bucket  = trace.Bucket
+)
 
 // Profile is the versioned run-profile artifact. Field order is the
 // canonical JSON key order; do not reorder fields without bumping
@@ -158,45 +117,28 @@ type Profile struct {
 	Histogram []Bucket  `json:"histogram"`
 }
 
-// FromEvents distills a profile from a traced run's event stream. It
-// returns nil when the events carry no simulator activity (e.g. a
-// compile-only trace), mirroring analyze.Analyze.
+// FromEvents distills a profile from a traced run's event stream
+// through trace.Fold, the one linear aggregation over a run's events.
+// It returns nil when the events carry no simulator activity (e.g. a
+// compile-only trace).
 func FromEvents(events []trace.Event, meta Meta) *Profile {
-	return FromAnalysis(analyze.Analyze(events), meta)
-}
-
-// FromAnalysis distills a profile from an already-computed analysis.
-// Returns nil for a nil analysis.
-func FromAnalysis(a *analyze.Analysis, meta Meta) *Profile {
-	if a == nil {
+	s := trace.Fold(events)
+	if s == nil {
 		return nil
 	}
-	p := &Profile{Schema: SchemaVersion, Meta: meta, Runs: 1}
-	p.Total.Time = a.Time
-	p.Total.Msgs = a.Msgs
-	p.Total.Words = a.Words
-	if a.Profile != nil {
-		p.Total.CriticalPath = a.Profile.CriticalPath
-		for _, pp := range a.Profile.Procs {
-			p.Procs = append(p.Procs, ProcRow{
-				PID: pp.PID, Clock: pp.Clock, Compute: pp.Compute,
-				Send: pp.Send, Blocked: pp.Blocked,
-			})
+	p := &Profile{Schema: SchemaVersion, Meta: meta, Runs: 1, Sites: s.Hotspots, Histogram: s.Histogram}
+	p.Total.Time = s.Time
+	p.Total.Msgs = s.Msgs
+	p.Total.Words = s.Words
+	if s.Profile != nil {
+		p.Total.CriticalPath = s.Profile.CriticalPath
+		p.Procs = s.Profile.Procs
+		for _, pp := range p.Procs {
 			p.Total.Clock += pp.Clock
 			p.Total.Compute += pp.Compute
 			p.Total.Send += pp.Send
 			p.Total.Blocked += pp.Blocked
 		}
-	}
-	for _, h := range a.Hotspots {
-		p.Sites = append(p.Sites, SiteRow{
-			Proc: h.Proc, Line: h.Line, PID: h.PID, Op: h.Op,
-			Msgs: h.Msgs, Words: h.Words,
-			Send: h.SendTime, Blocked: h.BlockedTime, CPShare: h.CPShare,
-		})
-	}
-	for _, b := range a.Histogram {
-		p.Histogram = append(p.Histogram, Bucket{Lo: b.Lo, Hi: b.Hi, Msgs: b.Msgs, Words: b.Words})
 	}
 	p.normalize()
 	return p
@@ -268,23 +210,10 @@ func (p *Profile) Imbalance() float64 {
 }
 
 // Top returns the n highest-cost sites (all of them when n <= 0),
-// ranked by descending cost with the same tiebreak as the analyze
-// hotspot table.
+// ranked like the analyze hotspot table (trace.RankHotspots).
 func (p *Profile) Top(n int) []SiteRow {
 	out := append([]SiteRow(nil), p.Sites...)
-	sort.Slice(out, func(i, j int) bool {
-		x, y := out[i], out[j]
-		if x.Cost() != y.Cost() {
-			return x.Cost() > y.Cost()
-		}
-		if x.Words != y.Words {
-			return x.Words > y.Words
-		}
-		if x.Site() != y.Site() {
-			return x.Site() < y.Site()
-		}
-		return x.Op < y.Op
-	})
+	trace.RankHotspots(out)
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

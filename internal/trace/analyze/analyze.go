@@ -3,14 +3,15 @@
 // P×P traffic matrix, a ranking of (procedure, line, operation) sites
 // by communication cost, message-size histograms, a time-binned
 // utilization timeline, and — via the Sweep helper — processor-scaling
-// speedup/efficiency curves. It is a pure post-processing layer: it
-// reads collected events only, so untraced runs pay nothing for it.
+// speedup/efficiency curves. The sites, histogram and per-processor
+// breakdown come from trace.Fold; Analyze adds the matrix, timeline,
+// faults and aborts. It is a pure post-processing layer: it reads
+// collected events only, so untraced runs pay nothing for it.
 package analyze
 
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 
 	"fortd/internal/trace"
@@ -27,64 +28,6 @@ type Matrix struct {
 	// injection time (message startups, remap transfers) plus receiver
 	// blocked time, in µs.
 	Cost [][]float64
-}
-
-// Hotspot is one communication site's total cost: every message the
-// (procedure, line, operation) triple generated, with the time charged
-// on the sending side (startup/transfer) and the receiving side
-// (blocked waits).
-type Hotspot struct {
-	Proc string
-	Line int
-	// PID disambiguates unattributed sites (events carrying no
-	// procedure context): it is the observing processor for those and
-	// -1 for attributed sites, so two processors' unattributed costs
-	// never collapse into one row.
-	PID int
-	Op  string
-	// Msgs counts messages (a remap event counts its partner messages);
-	// Words is the payload total.
-	Msgs  int64
-	Words int64
-	// SendTime is sender-side injection time; BlockedTime is
-	// receiver-side stall time attributed to the site.
-	SendTime    float64
-	BlockedTime float64
-	// CPShare estimates the fraction of the run's critical path this
-	// site can occupy: the worst single processor's cost at the site
-	// divided by the critical-path length. The aggregate Cost() can be
-	// much larger — P processors blocking in parallel all charge the
-	// same site — but a chain passes through one processor at a time.
-	CPShare float64
-}
-
-// Cost is the site's total communication time in µs.
-func (h Hotspot) Cost() float64 { return h.SendTime + h.BlockedTime }
-
-// CPSharePct is CPShare as a percentage (template convenience).
-func (h Hotspot) CPSharePct() float64 { return 100 * h.CPShare }
-
-// Site renders the site label ("DGEFA:12", or "(unattributed p3)" for
-// an event stream that carried no procedure context).
-func (h Hotspot) Site() string {
-	if h.Proc == "" {
-		if h.PID >= 0 {
-			return fmt.Sprintf("(unattributed p%d)", h.PID)
-		}
-		return "(unattributed)"
-	}
-	if h.Line == 0 {
-		return h.Proc
-	}
-	return fmt.Sprintf("%s:%d", h.Proc, h.Line)
-}
-
-// Bucket is one message-size histogram bin: messages whose payload is
-// in [Lo, Hi] words.
-type Bucket struct {
-	Lo, Hi int
-	Msgs   int64
-	Words  int64
 }
 
 // FaultStat aggregates one injected-fault kind (machine.FaultPlan):
@@ -118,26 +61,16 @@ type TimeBin struct {
 	Compute float64
 }
 
-// Analysis is the full post-run communication analysis.
+// Analysis is the full post-run communication analysis: the
+// trace.Fold summary (P, parallel time, totals, ranked hotspots, size
+// histogram, per-processor profile) plus the views only the report
+// needs.
 type Analysis struct {
-	// P is the processor count observed in the event stream.
-	P int
-	// Time is the parallel time (maximum processor clock).
-	Time float64
-	// Msgs and Words are the run totals (remap events weighted by their
-	// partner count, matching machine.Stats).
-	Msgs, Words int64
-	Matrix      *Matrix
-	// Hotspots is sorted by descending Cost.
-	Hotspots []Hotspot
-	// Histogram has one bucket per occupied power-of-two size class.
-	Histogram []Bucket
+	trace.Summary
+	Matrix *Matrix
 	// Timeline is the binned utilization; BinWidth is each bin's µs.
 	Timeline []TimeBin
 	BinWidth float64
-	// Profile is the per-processor breakdown (nil when the events carry
-	// no end-of-run summaries).
-	Profile *trace.Profile
 	// Faults summarizes injected faults by kind (empty without a fault
 	// plan), sorted by name; Aborts lists aborted processors in event
 	// order (empty for a clean run).
@@ -152,56 +85,11 @@ const timelineBins = 64
 // It returns nil when the events contain no simulator activity (e.g. a
 // compile-only trace).
 func Analyze(events []trace.Event) *Analysis {
-	p := 0
-	any := false
-	var clocks []float64
-	for _, ev := range events {
-		switch ev.Kind {
-		case trace.KindSend, trace.KindRecv, trace.KindWait, trace.KindRemap,
-			trace.KindProcSummary, trace.KindFault, trace.KindAbort:
-			any = true
-			if ev.PID+1 > p {
-				p = ev.PID + 1
-			}
-			// message endpoints also bound P: a partial trace (no
-			// end-of-run summaries) must still size the matrix to hold
-			// every src/dst it mentions
-			switch ev.Kind {
-			case trace.KindSend, trace.KindRecv, trace.KindWait, trace.KindRemap:
-				if ev.Src+1 > p {
-					p = ev.Src + 1
-				}
-				if ev.Dst+1 > p {
-					p = ev.Dst + 1
-				}
-			}
-			if ev.Kind == trace.KindProcSummary {
-				for len(clocks) < ev.PID+1 {
-					clocks = append(clocks, 0)
-				}
-				clocks[ev.PID] = ev.Dur
-			}
-		}
-	}
-	if !any {
+	s := trace.Fold(events)
+	if s == nil {
 		return nil
 	}
-	a := &Analysis{P: p, Profile: trace.ComputeProfile(events)}
-	for _, c := range clocks {
-		if c > a.Time {
-			a.Time = c
-		}
-	}
-
-	a.Matrix = newMatrix(p)
-	type siteID struct {
-		proc string
-		line int
-		pid  int // -1 for attributed sites, observer PID otherwise
-		op   string
-	}
-	sites := map[siteID]*Hotspot{}
-	hist := map[int]*Bucket{}
+	a := &Analysis{Summary: *s, Matrix: newMatrix(s.P)}
 	a.BinWidth = a.Time / timelineBins
 	bins := make([]TimeBin, timelineBins)
 	for i := range bins {
@@ -221,29 +109,8 @@ func Analyze(events []trace.Event) *Analysis {
 		}
 	}
 
-	// perProcCost[site][pid]: one processor's share of the site's cost.
-	// The critical path runs through a single processor at a time, so
-	// the worst processor's cost bounds how much of it the site can
-	// occupy; the aggregate cost can legitimately exceed the critical
-	// path (P processors wait in parallel).
-	perProcCost := map[*Hotspot]map[int]float64{}
+	var clocks []float64
 	faults := map[string]*FaultStat{}
-	site := func(ev trace.Event) *Hotspot {
-		k := siteID{ev.Proc, ev.Line, -1, ev.Name}
-		if ev.Proc == "" {
-			// no procedure context: fall back to the observing processor
-			// so distinct unattributed sites stay distinct rows
-			k.pid = ev.PID
-		}
-		h := sites[k]
-		if h == nil {
-			h = &Hotspot{Proc: ev.Proc, Line: ev.Line, PID: k.pid, Op: ev.Name}
-			sites[k] = h
-			perProcCost[h] = map[int]float64{}
-		}
-		perProcCost[h][ev.PID] += ev.Dur
-		return h
-	}
 	for _, ev := range events {
 		switch ev.Kind {
 		case trace.KindSend, trace.KindRemap:
@@ -253,21 +120,18 @@ func Analyze(events []trace.Event) *Analysis {
 				weight = ev.Value
 				dst = ev.Src // diagonal
 			}
-			a.Msgs += weight
-			a.Words += int64(ev.Words)
 			a.Matrix.Msgs[ev.Src][dst] += weight
 			a.Matrix.Words[ev.Src][dst] += int64(ev.Words)
 			a.Matrix.Cost[ev.Src][dst] += ev.Dur
-			h := site(ev)
-			h.Msgs += weight
-			h.Words += int64(ev.Words)
-			h.SendTime += ev.Dur
-			bucketFor(hist, weight, int64(ev.Words))
 			addSpan(ev.Start, ev.Dur, func(b *TimeBin, ov float64) { b.Send += ov })
 		case trace.KindRecv, trace.KindWait:
 			a.Matrix.Cost[ev.Src][ev.Dst] += ev.Dur
-			site(ev).BlockedTime += ev.Dur
 			addSpan(ev.Start, ev.Dur, func(b *TimeBin, ov float64) { b.Blocked += ov })
+		case trace.KindProcSummary:
+			for len(clocks) < ev.PID+1 {
+				clocks = append(clocks, 0)
+			}
+			clocks[ev.PID] = ev.Dur
 		case trace.KindFault:
 			fs := faults[ev.Name]
 			if fs == nil {
@@ -305,41 +169,6 @@ func Analyze(events []trace.Event) *Analysis {
 	if a.BinWidth > 0 {
 		a.Timeline = bins
 	}
-
-	var cp float64
-	if a.Profile != nil {
-		cp = a.Profile.CriticalPath
-	}
-	for _, h := range sites {
-		if cp > 0 {
-			var worst float64
-			for _, c := range perProcCost[h] {
-				if c > worst {
-					worst = c
-				}
-			}
-			h.CPShare = worst / cp
-		}
-		a.Hotspots = append(a.Hotspots, *h)
-	}
-	sort.Slice(a.Hotspots, func(i, j int) bool {
-		x, y := a.Hotspots[i], a.Hotspots[j]
-		if x.Cost() != y.Cost() {
-			return x.Cost() > y.Cost()
-		}
-		if x.Words != y.Words {
-			return x.Words > y.Words
-		}
-		if x.Site() != y.Site() {
-			return x.Site() < y.Site()
-		}
-		return x.Op < y.Op
-	})
-
-	for _, b := range hist {
-		a.Histogram = append(a.Histogram, *b)
-	}
-	sort.Slice(a.Histogram, func(i, j int) bool { return a.Histogram[i].Lo < a.Histogram[j].Lo })
 	return a
 }
 
@@ -355,32 +184,6 @@ func newMatrix(p int) *Matrix {
 		m.Cost[i] = make([]float64, p)
 	}
 	return m
-}
-
-// bucketFor files count messages carrying totalWords between them into
-// the power-of-two size class [2^(k-1)+1, 2^k] of the per-message
-// payload (zero-word messages get their own [0,0] class).
-func bucketFor(hist map[int]*Bucket, count, totalWords int64) {
-	words := int(0)
-	if count > 0 {
-		words = int(totalWords / count)
-	}
-	lo, hi := 0, 0
-	if words > 0 {
-		k := bits.Len(uint(words - 1)) // ceil(log2(words))
-		hi = 1 << k
-		lo = hi/2 + 1
-		if words == 1 {
-			lo, hi = 1, 1
-		}
-	}
-	b := hist[hi]
-	if b == nil {
-		b = &Bucket{Lo: lo, Hi: hi}
-		hist[hi] = b
-	}
-	b.Msgs += count
-	b.Words += totalWords
 }
 
 func overlap(aLo, aHi, bLo, bHi float64) float64 {
@@ -439,7 +242,7 @@ func (a *Analysis) WriteText(w io.Writer) error {
 			break
 		}
 		fmt.Fprintf(w, "  %-18s %-10s %7d %9d %11.1f %12.1f %10.1f %6.1f%%\n",
-			h.Site(), h.Op, h.Msgs, h.Words, h.SendTime, h.BlockedTime, h.Cost(), 100*h.CPShare)
+			h.Site(), h.Op, h.Msgs, h.Words, h.Send, h.Blocked, h.Cost(), 100*h.CPShare)
 	}
 
 	if len(a.Histogram) > 0 {

@@ -26,7 +26,7 @@ func TestZeroWordHistogram(t *testing.T) {
 	if a.Msgs != 3 || a.Words != 4 {
 		t.Errorf("msgs=%d words=%d, want 3/4", a.Msgs, a.Words)
 	}
-	var zero, one, four *Bucket
+	var zero, one, four *trace.Bucket
 	for i := range a.Histogram {
 		b := &a.Histogram[i]
 		switch {
@@ -83,16 +83,16 @@ func TestUnattributedSitesStayDistinct(t *testing.T) {
 	if len(a.Hotspots) != 4 {
 		t.Fatalf("got %d hotspot rows, want 4: %+v", len(a.Hotspots), a.Hotspots)
 	}
-	bySite := map[string]Hotspot{}
+	bySite := map[string]trace.Hotspot{}
 	for _, h := range a.Hotspots {
 		bySite[h.Site()+" "+h.Op] = h
 	}
 	p0 := bySite["(unattributed p0) send"]
-	if p0.Msgs != 1 || p0.Words != 4 || p0.SendTime != 5 || p0.PID != 0 {
+	if p0.Msgs != 1 || p0.Words != 4 || p0.Send != 5 || p0.PID != 0 {
 		t.Errorf("(unattributed p0) send = %+v", p0)
 	}
 	p1 := bySite["(unattributed p1) send"]
-	if p1.Msgs != 2 || p1.Words != 16 || p1.SendTime != 14 || p1.PID != 1 {
+	if p1.Msgs != 2 || p1.Words != 16 || p1.Send != 14 || p1.PID != 1 {
 		t.Errorf("(unattributed p1) send = %+v", p1)
 	}
 	if b := bySite["(unattributed p1) bcast"]; b.Msgs != 1 || b.Words != 2 {

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"fortd/internal/explain"
+	"fortd/internal/trace"
 )
 
 // Table is a pre-rendered table a caller can attach to a report
@@ -63,7 +64,7 @@ type htmlSection struct {
 	Name           string
 	Headline       string
 	Heatmap        *svgHeatmap
-	Hotspots       []Hotspot
+	Hotspots       []trace.Hotspot
 	HasCrit        bool
 	Timeline       *svgTimeline
 	ProcBars       *svgProcBars
@@ -491,7 +492,7 @@ var reportTmpl = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 <h3>Communication hotspots</h3>
 <table id="hotspots">
 <tr><th>site</th><th>op</th><th>msgs</th><th>words</th><th>send (µs)</th><th>blocked (µs)</th><th>cost (µs)</th>{{if .HasCrit}}<th>% of critical path</th>{{end}}</tr>
-{{$crit := .HasCrit}}{{range .Hotspots}}<tr><td>{{.Site}}</td><td>{{.Op}}</td><td>{{.Msgs}}</td><td>{{.Words}}</td><td>{{printf "%.1f" .SendTime}}</td><td>{{printf "%.1f" .BlockedTime}}</td><td>{{printf "%.1f" .Cost}}</td>{{if $crit}}<td>{{printf "%.1f%%" .CPSharePct}}</td>{{end}}</tr>
+{{$crit := .HasCrit}}{{range .Hotspots}}<tr><td>{{.Site}}</td><td>{{.Op}}</td><td>{{.Msgs}}</td><td>{{.Words}}</td><td>{{printf "%.1f" .Send}}</td><td>{{printf "%.1f" .Blocked}}</td><td>{{printf "%.1f" .Cost}}</td>{{if $crit}}<td>{{printf "%.1f%%" .CPSharePct}}</td>{{end}}</tr>
 {{end}}</table>
 {{end}}
 

@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestCriticalPathHandBuilt exercises criticalPath on a hand-built
-// event set whose longest send→recv chain is known by construction.
+// TestCriticalPathHandBuilt exercises the fold's critical path on a
+// hand-built event set whose longest send→recv chain is known by
+// construction.
 //
 // Two processors, latency 10, one word per message (1µs transfer):
 //
@@ -33,9 +34,9 @@ func TestCriticalPathHandBuilt(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 150},
 		{Kind: KindProcSummary, PID: 1, Dur: 191, Wait: 91},
 	}
-	prof := ComputeProfile(events)
+	prof := Fold(events).Profile
 	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
+		t.Fatal("Fold returned no profile")
 	}
 	// p1's chain: 100 (p0 compute) + 10 (send) + 1 (in-flight) + 80 (tail)
 	want := 191.0
@@ -57,9 +58,9 @@ func TestCriticalPathNonBlockingRecv(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 15},
 		{Kind: KindProcSummary, PID: 1, Dur: 420},
 	}
-	prof := ComputeProfile(events)
+	prof := Fold(events).Profile
 	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
+		t.Fatal("Fold returned no profile")
 	}
 	// p1: 400 compute before the recv + 20 after = 420, no sender edge
 	if math.Abs(prof.CriticalPath-420) > 1e-9 {
@@ -86,13 +87,64 @@ func TestCriticalPathChain(t *testing.T) {
 		{Kind: KindProcSummary, PID: 1, Dur: 110, Wait: 70},
 		{Kind: KindProcSummary, PID: 2, Dur: 125, Wait: 120},
 	}
-	prof := ComputeProfile(events)
+	prof := Fold(events).Profile
 	if prof == nil {
-		t.Fatal("ComputeProfile returned nil")
+		t.Fatal("Fold returned no profile")
 	}
 	// 50 (p0) + 10 (send) + 10 (flight) + 30 (p1) + 10 (send) + 10
 	// (flight) + 5 (p2 tail) = 125: the whole run is one chain
 	if math.Abs(prof.CriticalPath-125) > 1e-9 {
 		t.Errorf("critical path = %v, want 125", prof.CriticalPath)
+	}
+}
+
+// TestFoldUnmatchedReceives: a receive that precedes its send in the
+// stream, or whose Seq names a sender pid or counter outside the
+// per-sender tables, is unmatched — it takes no edge from the sender's
+// chain, and the fold never indexes out of range. Processor 0's send
+// starts inside its earlier remap, so its chain (110µs at the send) is
+// longer than the send's end (70µs) and a matched edge is visible:
+//
+//	p0: remap [50,100), send [60,70) seq 1, clock 100
+//	p1: recv [80,111) blocked, clock 191
+//
+// Matched, p1's chain is 110 + (111-70) flight + 80 tail = 231;
+// unmatched, the edge ends at the receive's end: 111 + 80 = 191.
+func TestFoldUnmatchedReceives(t *testing.T) {
+	cases := []struct {
+		name             string
+		sendSeq, recvSeq int64
+		recvFirst        bool
+		want             float64
+	}{
+		{"matched", 1, 1, false, 231},
+		{"recv before its send", 1, 1, true, 191},
+		{"sender pid past the table", 1, 7<<32 | 1, false, 191},
+		{"negative sender pid", 1, -1<<32 | 1, false, 191},
+		{"counter past the table", 1, 5, false, 191},
+		{"zero counter", 1, 1 << 32, false, 191},
+		{"send counter skips ahead", 9, 9, false, 191},
+		{"send names an unseen processor", 5<<32 | 1, 5<<32 | 1, false, 191},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			remap := Event{Kind: KindRemap, Name: "remap", PID: 0, Src: 0, Dst: 0, Value: 1, Start: 50, Dur: 50}
+			send := Event{Kind: KindSend, Name: "send", PID: 0, Src: 0, Dst: 1, Start: 60, Dur: 10, Seq: tc.sendSeq}
+			recv := Event{Kind: KindRecv, Name: "send", PID: 1, Src: 0, Dst: 1, Start: 80, Dur: 31, Seq: tc.recvSeq}
+			events := []Event{remap, send, recv}
+			if tc.recvFirst {
+				events = []Event{recv, remap, send}
+			}
+			events = append(events,
+				Event{Kind: KindProcSummary, PID: 0, Dur: 100},
+				Event{Kind: KindProcSummary, PID: 1, Dur: 191, Wait: 31})
+			prof := Fold(events).Profile
+			if prof == nil {
+				t.Fatal("Fold returned no profile")
+			}
+			if prof.CriticalPath != tc.want {
+				t.Errorf("critical path = %v, want %v", prof.CriticalPath, tc.want)
+			}
+		})
 	}
 }

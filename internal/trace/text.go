@@ -6,31 +6,11 @@ import (
 	"sort"
 )
 
-// site aggregates the messages generated at one source location by one
-// communication operation.
-type site struct {
-	proc  string
-	line  int
-	op    string
-	msgs  int64
-	words int64
-}
-
 // faultLine aggregates one injected-fault kind for the text summary.
 type faultLine struct {
 	name  string
 	count int64
 	dur   float64
-}
-
-func (s site) key() string {
-	if s.proc == "" {
-		return "(unattributed)"
-	}
-	if s.line == 0 {
-		return fmt.Sprintf("%s %s", s.proc, s.op)
-	}
-	return fmt.Sprintf("%s:%d %s", s.proc, s.line, s.op)
 }
 
 // WriteText renders the tracer's collected events with the package
@@ -43,11 +23,26 @@ func (t *Tracer) WriteText(w io.Writer) error { return WriteText(w, t.Events()) 
 // events are omitted, so a run-only trace contains no compiler lines
 // and its output is fully deterministic (virtual time only).
 func WriteText(w io.Writer, events []Event) error {
+	// the run totals, sites and profile fold the events in emission
+	// order; the listing sections below read a sorted copy
+	run := Fold(events)
 	events = sorted(events)
 	var phases, counters, sums, aborts []Event
-	sites := map[[3]interface{}]*site{}
 	faults := map[string]*faultLine{}
 	var msgs, words, remaps, attributed int64
+	var sites []Hotspot
+	if run != nil {
+		msgs, words = run.Msgs, run.Words
+		for _, h := range run.Hotspots {
+			if h.Msgs == 0 {
+				continue // a site seen only through its receives
+			}
+			sites = append(sites, h)
+			if h.Proc != "" {
+				attributed += h.Msgs
+			}
+		}
+	}
 	for _, ev := range events {
 		switch ev.Kind {
 		case KindPhase:
@@ -66,27 +61,8 @@ func WriteText(w io.Writer, events []Event) error {
 			}
 			fl.count++
 			fl.dur += ev.Dur
-		case KindSend, KindRemap:
-			// one remap event stands for Value partner messages, the way
-			// the cost model charges it
-			weight := int64(1)
-			if ev.Kind == KindRemap {
-				remaps++
-				weight = ev.Value
-			}
-			msgs += weight
-			words += int64(ev.Words)
-			if ev.Proc != "" {
-				attributed += weight
-			}
-			k := [3]interface{}{ev.Proc, ev.Line, ev.Name}
-			s := sites[k]
-			if s == nil {
-				s = &site{proc: ev.Proc, line: ev.Line, op: ev.Name}
-				sites[k] = s
-			}
-			s.msgs += weight
-			s.words += int64(ev.Words)
+		case KindRemap:
+			remaps++
 		}
 	}
 
@@ -146,28 +122,25 @@ func WriteText(w io.Writer, events []Event) error {
 	}
 
 	if len(sites) > 0 {
-		list := make([]*site, 0, len(sites))
-		for _, s := range sites {
-			list = append(list, s)
-		}
-		sort.Slice(list, func(i, j int) bool {
-			a, b := list[i], list[j]
-			if a.words != b.words {
-				return a.words > b.words
+		label := func(h Hotspot) string { return h.Site() + " " + h.Op }
+		sort.Slice(sites, func(i, j int) bool {
+			a, b := sites[i], sites[j]
+			if a.Words != b.Words {
+				return a.Words > b.Words
 			}
-			if a.msgs != b.msgs {
-				return a.msgs > b.msgs
+			if a.Msgs != b.Msgs {
+				return a.Msgs > b.Msgs
 			}
-			return a.key() < b.key()
+			return label(a) < label(b)
 		})
 		fmt.Fprintf(w, "communication sites (by words):\n")
 		const maxSites = 12
-		for i, s := range list {
+		for i, h := range sites {
 			if i >= maxSites {
-				fmt.Fprintf(w, "  ... %d more sites\n", len(list)-maxSites)
+				fmt.Fprintf(w, "  ... %d more sites\n", len(sites)-maxSites)
 				break
 			}
-			fmt.Fprintf(w, "  %-24s msgs=%-7d words=%d\n", s.key(), s.msgs, s.words)
+			fmt.Fprintf(w, "  %-24s msgs=%-7d words=%d\n", label(h), h.Msgs, h.Words)
 		}
 		pct := 100.0
 		if msgs > 0 {
@@ -194,7 +167,7 @@ func WriteText(w io.Writer, events []Event) error {
 				ev.PID, fmt.Sprintf("%.1fµs", ev.Dur), busy, ev.Sent, ev.Recvd, int64(ev.Words), ev.Flops, ev.Wait)
 		}
 		fmt.Fprintf(w, "\n")
-		if err := ComputeProfile(events).WriteText(w); err != nil {
+		if err := run.Profile.WriteText(w); err != nil {
 			return err
 		}
 	}

@@ -8,6 +8,14 @@
 // (WriteText) and Chrome trace_event JSON (WriteChrome) loadable in
 // chrome://tracing or Perfetto.
 //
+// Fold is the one aggregation over a run's events: a single linear pass
+// in emission order yielding totals, per-site costs, the message-size
+// histogram, the per-processor breakdown and the critical path, which
+// internal/trace/analyze and internal/profile both build on. It needs
+// no sort because the machine emits each processor's events in program
+// order and every message's send before its receive, so a tracer must
+// hold one run at a time for the critical path to be meaningful.
+//
 // A nil *Tracer is the disabled state: every method is nil-safe and
 // allocation-free, so instrumented code can call unconditionally and
 // default (untraced) runs pay only a pointer test.
@@ -101,8 +109,10 @@ type Event struct {
 	// events, wall-clock time relative to the tracer's epoch for
 	// compiler phases. Dur is the span length.
 	Start, Dur float64
-	// Seq links a KindSend event to the KindRecv event of the same
-	// message (0 when the tracer was attached mid-run).
+	// Seq links a KindSend event to the KindRecv or KindWait event of
+	// the same message: the sender's pid in the high 32 bits and its
+	// send counter (1, 2, ...) in the low 32. It is 0 on events that
+	// carry no message.
 	Seq int64
 	// Value is the counter value (KindCounter).
 	Value int64
@@ -115,12 +125,17 @@ type Event struct {
 // Tracer collects events from concurrently executing instrumentation
 // points. The zero value is NOT ready to use; create with New. A nil
 // *Tracer is the disabled fast path.
+//
+// Events are stored in fixed-size chunks in emission order, so Emit
+// never re-copies history however long the run.
 type Tracer struct {
 	mu     sync.Mutex
-	events []Event
+	chunks [][]Event
 	epoch  time.Time
-	seq    int64
 }
+
+// chunkEvents is the capacity of one storage chunk.
+const chunkEvents = 1024
 
 // New returns an enabled tracer.
 func New() *Tracer {
@@ -136,20 +151,13 @@ func (t *Tracer) Emit(ev Event) {
 		return
 	}
 	t.mu.Lock()
-	t.events = append(t.events, ev)
-	t.mu.Unlock()
-}
-
-// NextSeq returns a fresh message-sequence id (1, 2, ...).
-func (t *Tracer) NextSeq() int64 {
-	if t == nil {
-		return 0
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == chunkEvents {
+		t.chunks = append(t.chunks, make([]Event, 0, chunkEvents))
+		last++
 	}
-	t.mu.Lock()
-	t.seq++
-	s := t.seq
+	t.chunks[last] = append(t.chunks[last], ev)
 	t.mu.Unlock()
-	return s
 }
 
 var noop = func() {}
@@ -179,15 +187,22 @@ func (t *Tracer) Counter(name string, value int64) {
 	t.Emit(Event{Kind: KindCounter, Name: name, Value: value})
 }
 
-// Events returns a snapshot of everything collected so far.
+// Events returns a snapshot of everything collected so far, in
+// emission order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	out := make([]Event, 0, n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -197,7 +212,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.events = t.events[:0]
+	t.chunks = nil
 	t.mu.Unlock()
 }
 

@@ -15,14 +15,10 @@ func TestNilTracerIsSafeAndAllocationFree(t *testing.T) {
 	if got := tr.Events(); got != nil {
 		t.Fatalf("nil tracer events = %v", got)
 	}
-	if seq := tr.NextSeq(); seq != 0 {
-		t.Fatalf("nil tracer seq = %d", seq)
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Emit(Event{Kind: KindSend, Words: 10})
 		tr.Phase("p")()
 		tr.Counter("c", 1)
-		tr.NextSeq()
 		tr.Reset()
 	})
 	if allocs != 0 {
@@ -180,20 +176,9 @@ func TestWriteTextEmpty(t *testing.T) {
 	}
 }
 
-func TestTracerSeqMonotone(t *testing.T) {
-	tr := New()
-	prev := int64(0)
-	for i := 0; i < 10; i++ {
-		s := tr.NextSeq()
-		if s <= prev {
-			t.Fatalf("seq %d after %d", s, prev)
-		}
-		prev = s
-	}
-}
-
+// TestComputeProfile: the fold's per-processor profile of sample().
 func TestComputeProfile(t *testing.T) {
-	prof := ComputeProfile(sample())
+	prof := Fold(sample()).Profile
 	if prof == nil {
 		t.Fatal("no profile from sample events")
 	}
@@ -222,8 +207,10 @@ func TestComputeProfile(t *testing.T) {
 	}
 }
 
+// TestComputeProfileNoSummaries: without end-of-run summaries the fold
+// has totals but no per-processor profile.
 func TestComputeProfileNoSummaries(t *testing.T) {
-	if prof := ComputeProfile([]Event{{Kind: KindSend, Words: 4}}); prof != nil {
+	if prof := Fold([]Event{{Kind: KindSend, Words: 4}}).Profile; prof != nil {
 		t.Errorf("profile without summaries = %+v, want nil", prof)
 	}
 }
@@ -239,7 +226,7 @@ func TestCriticalPathFollowsSendRecvEdge(t *testing.T) {
 		{Kind: KindProcSummary, PID: 0, Dur: 110, Wait: 0},
 		{Kind: KindProcSummary, PID: 1, Dur: 150, Wait: 130},
 	}
-	prof := ComputeProfile(evs)
+	prof := Fold(evs).Profile
 	// sender chain: 100 compute + 10 send = 110; edge adds the 20µs
 	// in-flight time (recv end 130 − send end 110); receiver tail 20.
 	if want := 150.0; !close(prof.CriticalPath, want) {

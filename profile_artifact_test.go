@@ -82,6 +82,59 @@ func TestProfileByteIdenticalAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestCriticalPathEqualsMakespan pins the profile's critical path to
+// the parallel time on complete traces. A processor's clock advances
+// only through work or a wait on a message, so the longest dependence
+// chain the fold finds is the makespan exactly — on both backends,
+// with and without a fault plan.
+func TestCriticalPathEqualsMakespan(t *testing.T) {
+	dgefaInit := func(string) map[string][]float64 {
+		return map[string][]float64{"a": DgefaMatrix(64)}
+	}
+	workloads := []struct {
+		name string
+		src  func(p int) string
+		init func(src string) map[string][]float64
+		plan *FaultPlan
+	}{
+		{"jacobi", func(p int) string { return Jacobi2DSrc(64, 3, p) }, RampInit, nil},
+		{"dgefa", func(p int) string { return DgefaSrc(64, p) }, dgefaInit, nil},
+		{"dyndist", func(p int) string { return Fig15Src(3, p) }, RampInit, nil},
+		{"jacobi_faults", func(p int) string { return Jacobi2DSrc(64, 3, p) }, RampInit,
+			&FaultPlan{Seed: 7, DelayProb: 0.25, DelayMax: 40, Stragglers: map[int]float64{0: 2.0}}},
+	}
+	for _, w := range workloads {
+		for _, p := range []int{1, 3, 16, 64} {
+			src := w.src(p)
+			prog, err := Compile(src, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, backend := range []Backend{BackendDES, BackendGoroutine} {
+				t.Run(fmt.Sprintf("%s/p%d/%v", w.name, p, backend), func(t *testing.T) {
+					// LinkDepth 512 keeps the goroutine backend's P² link
+					// buffers small at P=64, as in TestBackendDifferential
+					cfg := DefaultMachine(p)
+					cfg.LinkDepth = 512
+					cfg.Backend = backend
+					tr := NewTrace()
+					res, err := NewRunner(WithMachine(cfg), WithInit(w.init(src)), WithTrace(tr), WithFaults(w.plan)).Run(prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pf := profile.FromEvents(tr.Events(), profile.Meta{})
+					if pf.Total.Time != res.Stats.Time {
+						t.Errorf("profile time %vµs, run %vµs", pf.Total.Time, res.Stats.Time)
+					}
+					if pf.Total.CriticalPath != pf.Total.Time {
+						t.Errorf("critical path %vµs, parallel time %vµs", pf.Total.CriticalPath, pf.Total.Time)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestGoldenProfileJacobi pins the canonical serialization itself:
 // schema v1 field names, key order, metric values and the content
 // hash, via the committed golden artifact.
