@@ -26,7 +26,7 @@ overlap: ## profile jacobi with the blocking vs overlap schedule and diff the ar
 	rm -f /tmp/fdprof_overlap /tmp/overlap_off.json /tmp/overlap_on.json
 
 report: ## render the dgefa HTML performance report to report.html
-	$(GO) run ./cmd/fdreport -o report.html testdata/dgefa.f
+	$(GO) run ./cmd/fdrun -report report.html -sweep 1,2,4 testdata/dgefa.f
 
 FUZZTIME ?= 30s
 fuzz: ## fuzz the parser and the whole compile pipeline

@@ -40,7 +40,7 @@ rm -f /tmp/ci_deadlock.out
 
 # report smoke: the self-contained HTML report must render and be
 # non-trivial for the dgefa case study
-go run ./cmd/fdreport -sweep 1,2,4 -o /tmp/ci_report.html testdata/dgefa.f
+go run ./cmd/fdrun -report /tmp/ci_report.html -sweep 1,2,4 testdata/dgefa.f
 test -s /tmp/ci_report.html
 grep -q 'id="heatmap"' /tmp/ci_report.html
 grep -q '</html>' /tmp/ci_report.html

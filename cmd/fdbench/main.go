@@ -147,7 +147,8 @@ func workloads() []workload {
 
 func measure(w workload, runs, jobs int, backend fortd.Backend, overlap bool) benchcmp.Result {
 	best := benchcmp.Result{Name: w.name, Jobs: jobs}
-	opts := fortd.DefaultOptions().WithOverlap(overlap)
+	opts := fortd.DefaultOptions()
+	opts.Overlap = overlap
 	opts.Jobs = jobs
 	for i := 0; i < runs; i++ {
 		init := w.init()

@@ -73,28 +73,12 @@ func main() {
 	opts.Jobs = *jobs
 	opts.Explain = ex
 	opts.Trace = tr
-	switch *strategy {
-	case "interproc":
-		opts.Strategy = fortd.Interprocedural
-	case "runtime":
-		opts.Strategy = fortd.RuntimeResolution
-	case "immediate":
-		opts.Strategy = fortd.Immediate
-	default:
-		fmt.Fprintf(os.Stderr, "fdc: unknown strategy %q\n", *strategy)
+	if opts.Strategy, err = fortd.ParseStrategy(*strategy); err != nil {
+		fmt.Fprintln(os.Stderr, "fdc:", err)
 		os.Exit(2)
 	}
-	switch *remap {
-	case "none":
-		opts.RemapOpt = fortd.RemapNone
-	case "live":
-		opts.RemapOpt = fortd.RemapLive
-	case "hoist":
-		opts.RemapOpt = fortd.RemapHoist
-	case "kills":
-		opts.RemapOpt = fortd.RemapKills
-	default:
-		fmt.Fprintf(os.Stderr, "fdc: unknown remap level %q\n", *remap)
+	if opts.RemapOpt, err = fortd.ParseRemapLevel(*remap); err != nil {
+		fmt.Fprintln(os.Stderr, "fdc:", err)
 		os.Exit(2)
 	}
 

@@ -70,7 +70,8 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	reg := metrics.New()
-	base := fortd.DefaultOptions().WithOverlap(*overlap)
+	base := fortd.DefaultOptions()
+	base.Overlap = *overlap
 	base.Jobs = *jobs
 	cfg := fortd.ServiceConfig{
 		Options:     withDeadline(base, *compileWall),

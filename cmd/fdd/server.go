@@ -43,30 +43,15 @@ func (d *optionsDTO) apply(base fortd.Options) (fortd.Options, error) {
 	if d.P != nil {
 		base.P = *d.P
 	}
+	var err error
 	if d.Strategy != nil {
-		switch *d.Strategy {
-		case "interproc":
-			base.Strategy = fortd.Interprocedural
-		case "runtime":
-			base.Strategy = fortd.RuntimeResolution
-		case "immediate":
-			base.Strategy = fortd.Immediate
-		default:
-			return base, fmt.Errorf("unknown strategy %q (want interproc, runtime or immediate)", *d.Strategy)
+		if base.Strategy, err = fortd.ParseStrategy(*d.Strategy); err != nil {
+			return base, err
 		}
 	}
 	if d.Remap != nil {
-		switch *d.Remap {
-		case "none":
-			base.RemapOpt = fortd.RemapNone
-		case "live":
-			base.RemapOpt = fortd.RemapLive
-		case "hoist":
-			base.RemapOpt = fortd.RemapHoist
-		case "kills":
-			base.RemapOpt = fortd.RemapKills
-		default:
-			return base, fmt.Errorf("unknown remap level %q (want none, live, hoist or kills)", *d.Remap)
+		if base.RemapOpt, err = fortd.ParseRemapLevel(*d.Remap); err != nil {
+			return base, err
 		}
 	}
 	if d.CloneLimit != nil {

@@ -153,14 +153,8 @@ func run(p *fortd.Program, init map[string][]float64) *fortd.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for name, want := range ref.Arrays {
-		got := r.Arrays[name]
-		for i := range want {
-			d := got[i] - want[i]
-			if d > 1e-6 || d < -1e-6 {
-				log.Fatalf("wrong answer: %s[%d] = %v, want %v", name, i, got[i], want[i])
-			}
-		}
+	if m := r.Compare(ref, 1e-6); m != nil {
+		log.Fatalf("wrong answer: %s[%d] = %v, want %v", m.Array, m.Index, m.Got, m.Want)
 	}
 	return r
 }

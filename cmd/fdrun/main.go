@@ -147,13 +147,9 @@ func main() {
 		opts.Trace = tr
 		opts.Explain = ex
 		opts.Overlap = *overlap
-		switch *strategy {
-		case "interproc":
-			opts.Strategy = fortd.Interprocedural
-		case "runtime":
-			opts.Strategy = fortd.RuntimeResolution
-		case "immediate":
-			opts.Strategy = fortd.Immediate
+		if opts.Strategy, err = fortd.ParseStrategy(*strategy); err != nil {
+			fmt.Fprintln(os.Stderr, "fdrun:", err)
+			os.Exit(2)
 		}
 		prog, err = fortd.Compile(src, opts)
 		if err != nil {
@@ -301,18 +297,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fdrun: reference:", err)
 			os.Exit(1)
 		}
-		ok := true
-		for name, want := range ref.Arrays {
-			got := res.Arrays[name]
-			for i := range want {
-				d := got[i] - want[i]
-				if d > 1e-9 || d < -1e-9 {
-					fmt.Printf("MISMATCH %s[%d]: %v != %v\n", name, i, got[i], want[i])
-					ok = false
-					break
-				}
-			}
+		m := res.Compare(ref, 1e-9)
+		if m != nil {
+			fmt.Printf("MISMATCH %s[%d]: %v != %v\n", m.Array, m.Index, m.Got, m.Want)
 		}
+		ok := m == nil
 		fmt.Printf("matches sequential reference: %v\n", ok)
 		if !ok {
 			os.Exit(1)

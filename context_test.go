@@ -3,7 +3,8 @@ package fortd
 import (
 	"context"
 	"errors"
-	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,12 +150,22 @@ func TestSharedCacheConcurrentCompiles(t *testing.T) {
 // TestDiskCacheWarm covers the disk tier end to end: a cold compile
 // through a disk-backed cache persists entries; a brand-new cache on
 // the same directory (a "restarted process") serves the whole program
-// as disk hits with zero re-analysis and a byte-identical listing.
+// as disk hits with zero re-analysis and a byte-identical listing; and
+// after a one-literal edit to one procedure, a third process
+// re-analyzes only that procedure and serves every other one from disk.
 func TestDiskCacheWarm(t *testing.T) {
 	dir := t.TempDir()
-	src := Jacobi2DSrc(16, 2, 4)
+	src := DgefaSrc(16, 4)
+	openCache := func() *SummaryCache {
+		t.Helper()
+		c, err := NewDiskSummaryCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 
-	cold, err := Compile(src, Options{CacheDir: dir})
+	cold, err := Compile(src, Options{Cache: openCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +173,7 @@ func TestDiskCacheWarm(t *testing.T) {
 		t.Fatal("cold compile reported no misses")
 	}
 
-	fresh, err := NewDiskSummaryCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := openCache()
 	if st := fresh.Stats(); st.DiskEntries == 0 {
 		t.Fatalf("no entry files persisted under %s", dir)
 	}
@@ -185,11 +193,26 @@ func TestDiskCacheWarm(t *testing.T) {
 	}
 
 	// An edited procedure invalidates only its cone, across processes:
-	// the disk tier must serve the untouched procedures.
-	edited, err := Compile(src+"\n", Options{CacheDir: dir})
-	_ = edited
+	// idamax's local accumulator start changes no summary its caller
+	// consumes, so the disk tier serves every other procedure.
+	editedSrc := strings.Replace(src, "s = 0.0", "s = 0.5", 1)
+	if editedSrc == src {
+		t.Fatal("edit did not apply")
+	}
+	third := openCache()
+	edited, err := Compile(editedSrc, Options{Cache: third})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := edited.CacheMisses(); !reflect.DeepEqual(got, []string{"idamax"}) {
+		t.Fatalf("edited compile re-analyzed %v, want [idamax]", got)
+	}
+	hits := edited.CacheHits()
+	if len(hits) != len(cold.CacheMisses())-1 {
+		t.Fatalf("edited compile served %v from cache, want every procedure but idamax of %v", hits, cold.CacheMisses())
+	}
+	if st := third.Stats(); st.DiskHits != int64(len(hits)) {
+		t.Fatalf("edited compile: %d disk hits for %d cache hits", st.DiskHits, len(hits))
 	}
 }
 
@@ -229,26 +252,5 @@ func TestDiskCacheSharedByServices(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.Cache.DiskHits == 0 {
 		t.Fatalf("second service recorded no disk hits: %+v", st.Cache)
-	}
-}
-
-// TestDeprecatedWrappersEquivalent pins that the deprecated RunOptions
-// surface stays a faithful veneer over the Runner API while it exists.
-func TestDeprecatedWrappersEquivalent(t *testing.T) {
-	prog, err := Compile(Jacobi1DSrc(64, 2, 4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := map[string][]float64{"a": Ramp(64)}
-	legacy, err := prog.Run(RunOptions{Init: init}) //nolint:staticcheck // deprecation pin
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := NewRunner(WithInit(init)).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(legacy.Stats) != fmt.Sprint(modern.Stats) {
-		t.Fatalf("legacy stats %v != modern stats %v", legacy.Stats, modern.Stats)
 	}
 }

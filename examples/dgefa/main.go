@@ -100,10 +100,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		for i := range ref.Arrays["a"] {
-			if math.Abs(res.Arrays["a"][i]-ref.Arrays["a"][i]) > 1e-6 {
-				log.Fatalf("%s: wrong answer at %d", v.name, i)
-			}
+		if m := res.Compare(ref, 1e-6); m != nil {
+			log.Fatalf("%s: wrong answer at %s[%d]", v.name, m.Array, m.Index)
 		}
 		if base == 0 {
 			base = res.Stats.Time

@@ -45,10 +45,13 @@ package fortd
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"time"
 
 	"fortd/internal/ast"
 	"fortd/internal/codegen"
+	"fortd/internal/comm"
 	"fortd/internal/core"
 	"fortd/internal/decomp"
 	"fortd/internal/explain"
@@ -78,6 +81,20 @@ const (
 	Immediate = codegen.StrategyImmediate
 )
 
+// ParseStrategy parses a strategy name ("interproc", "runtime" or
+// "immediate") as accepted by the -strategy flags.
+func ParseStrategy(s string) (Strategy, error) {
+	switch s {
+	case "interproc":
+		return Interprocedural, nil
+	case "runtime":
+		return RuntimeResolution, nil
+	case "immediate":
+		return Immediate, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want interproc, runtime or immediate)", s)
+}
+
 // RemapLevel is the dynamic data decomposition optimization ladder of
 // Figure 16.
 type RemapLevel = livedecomp.Level
@@ -89,6 +106,22 @@ const (
 	RemapHoist = livedecomp.OptHoist
 	RemapKills = livedecomp.OptKills
 )
+
+// ParseRemapLevel parses a remap level name ("none", "live", "hoist"
+// or "kills") as accepted by the -remap flags.
+func ParseRemapLevel(s string) (RemapLevel, error) {
+	switch s {
+	case "none":
+		return RemapNone, nil
+	case "live":
+		return RemapLive, nil
+	case "hoist":
+		return RemapHoist, nil
+	case "kills":
+		return RemapKills, nil
+	}
+	return 0, fmt.Errorf("unknown remap level %q (want none, live, hoist or kills)", s)
+}
 
 // MachineConfig is the simulated machine's size and cost model.
 type MachineConfig = machine.Config
@@ -168,7 +201,7 @@ func DefaultMachine(p int) MachineConfig { return machine.DefaultConfig(p) }
 // FaultPlan describes seeded, deterministic fault injection for a
 // simulated run: per-message delivery delays, straggler processors,
 // and bounded message duplication. The same seed reproduces the same
-// faults. Attach with WithFaults or RunOptions.Faults.
+// faults. Attach with WithFaults.
 type FaultPlan = machine.FaultPlan
 
 // AbortError reports a processor unblocked by a machine-wide
@@ -216,13 +249,6 @@ type Options struct {
 	// procedure and the callers whose consumed summaries changed (the
 	// paper's §8 recompilation analysis, run as a cache).
 	Cache *SummaryCache
-	// CacheDir, when non-empty, attaches a disk-persisted summary cache
-	// rooted at this directory: entries written by earlier processes are
-	// served warm (see NewDiskSummaryCache). Mutually exclusive with
-	// Cache — to share one cache across compilations and keep the disk
-	// tier, create it once with NewDiskSummaryCache and pass it as
-	// Cache.
-	CacheDir string
 	// Deadline bounds the compilation's wall-clock time (0: none).
 	// CompileContext derives a timeout context from it; a compilation
 	// that exceeds it returns context.DeadlineExceeded.
@@ -235,15 +261,6 @@ type Options struct {
 	// peeled boundary loops appear) but the computed values do not.
 	// DefaultOptions enables it.
 	Overlap bool
-}
-
-// WithOverlap returns a copy of o with the overlap schedule switched
-// on or off. It exists for call-site chaining:
-//
-//	fortd.DefaultOptions().WithOverlap(false)
-func (o Options) WithOverlap(on bool) Options {
-	o.Overlap = on
-	return o
 }
 
 // DefaultOptions enables the full interprocedural pipeline.
@@ -276,9 +293,6 @@ func (o Options) Validate() error {
 	}
 	if o.Deadline < 0 {
 		return fmt.Errorf("fortd: Options.Deadline = %v, must be >= 0 (0 disables the deadline)", o.Deadline)
-	}
-	if o.CacheDir != "" && o.Cache != nil {
-		return fmt.Errorf("fortd: Options.CacheDir and Options.Cache are mutually exclusive; pass NewDiskSummaryCache(dir) as Cache to share a disk-backed cache")
 	}
 	return nil
 }
@@ -349,13 +363,6 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	cache := opts.Cache
-	if opts.CacheDir != "" {
-		var err error
-		if cache, err = summarycache.Open(opts.CacheDir); err != nil {
-			return nil, err
-		}
-	}
 	if opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
@@ -365,7 +372,7 @@ func CompileContext(ctx context.Context, src string, opts Options) (*Program, er
 		P: opts.P, Strategy: opts.Strategy,
 		RemapOpt: opts.RemapOpt, CloneLimit: opts.CloneLimit,
 		Trace: opts.Trace, Explain: opts.Explain,
-		Jobs: opts.Jobs, Cache: cache, Overlap: opts.Overlap,
+		Jobs: opts.Jobs, Cache: opts.Cache, Overlap: opts.Overlap,
 	})
 	if err != nil {
 		return nil, err
@@ -410,6 +417,40 @@ type Result struct {
 	// Arrays holds the main program's arrays, assembled from the
 	// owning processors.
 	Arrays map[string][]float64
+}
+
+// Mismatch is an element where a run's array differs from a reference
+// run's beyond a tolerance.
+type Mismatch struct {
+	Array     string
+	Index     int
+	Got, Want float64
+}
+
+// Compare checks r's arrays against ref's element by element, arrays
+// in name order, and returns the first element where
+// !(|got-want| <= tol), or nil when every element matches. A NaN on
+// either side never matches, and an element missing from r compares
+// as NaN.
+func (r *Result) Compare(ref *Result, tol float64) *Mismatch {
+	names := make([]string, 0, len(ref.Arrays))
+	for name := range ref.Arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		got := r.Arrays[name]
+		for i, want := range ref.Arrays[name] {
+			g := math.NaN()
+			if i < len(got) {
+				g = got[i]
+			}
+			if !(math.Abs(g-want) <= tol) {
+				return &Mismatch{Array: name, Index: i, Got: g, Want: want}
+			}
+		}
+	}
+	return nil
 }
 
 // Runner executes programs on the simulated machine. The zero value
@@ -503,22 +544,7 @@ func (r *Runner) Run(p *Program) (*Result, error) {
 // and RunContext returns ctx.Err(). The machine's own failure modes —
 // deadlock watchdog, WithDeadline, congestion — are unchanged.
 func (r *Runner) RunContext(ctx context.Context, p *Program) (*Result, error) {
-	cfg := r.machine
-	if cfg.P == 0 {
-		// default the cost model to the compiled processor count, but
-		// keep an explicitly selected backend (WithBackend)
-		be := cfg.Backend
-		cfg = machine.DefaultConfig(p.c.P)
-		cfg.Backend = be
-	}
-	rr, err := spmd.RunContext(ctx, p.c.Program, cfg, spmd.Options{
-		Dists: p.c.MainDists, Init: r.init, InitScalars: r.initScalars,
-		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
+	return r.run(ctx, p.c.Program, p.c.P, p.c.MainDists)
 }
 
 // RunReference executes the original sequential program (one
@@ -531,14 +557,10 @@ func (r *Runner) RunReference(p *Program) (*Result, error) {
 // RunReferenceContext is RunReference under a cancellation context
 // (see RunContext).
 func (r *Runner) RunReferenceContext(ctx context.Context, p *Program) (*Result, error) {
-	rr, err := spmd.RunSequentialContext(ctx, p.c.Source, spmd.Options{
+	return result(spmd.RunSequentialContext(ctx, p.c.Source, spmd.Options{
 		Init: r.init, InitScalars: r.initScalars, Trace: r.trace,
 		Deadline: r.deadline,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
+	}))
 }
 
 // RunSPMD executes hand-written SPMD node-program text directly on the
@@ -566,18 +588,10 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 		return nil, fmt.Errorf("fortd: SPMD text has no main program")
 	}
 	if nproc <= 0 {
-		nproc = 4
-		if s := main.Symbols.Lookup("n$proc"); s != nil && s.Kind == ast.SymConstant {
-			nproc = s.ConstValue
-		}
+		nproc = core.NProcOf(prog)
 	}
 	dists := map[string]*decomp.Dist{}
-	env := ast.MapEnv{}
-	for _, s := range main.Symbols.Symbols() {
-		if s.Kind == ast.SymConstant {
-			env[s.Name] = s.ConstValue
-		}
-	}
+	env := comm.ConstEnv(main)
 	// WalkStmts keeps visiting siblings after a false return, so the
 	// first failure is latched in werr and checked on every visit.
 	var werr error
@@ -589,22 +603,7 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 		if !ok {
 			return true
 		}
-		sym := main.Symbols.Lookup(d.Target)
-		if sym == nil || sym.Kind != ast.SymArray {
-			werr = fmt.Errorf("fortd: DISTRIBUTE %s: not a declared array", d.Target)
-			return false
-		}
-		sizes := make([]int, len(sym.Dims))
-		for i, dim := range sym.Dims {
-			lo, okLo := ast.EvalInt(dim.Lo, env)
-			hi, okHi := ast.EvalInt(dim.Hi, env)
-			if !okLo || !okHi {
-				werr = fmt.Errorf("fortd: DISTRIBUTE %s: dimension %d bounds are not compile-time constants", d.Target, i+1)
-				return false
-			}
-			sizes[i] = hi - lo + 1
-		}
-		dist, err := decomp.NewDist(decomp.NewDecomp(d.Specs...), sizes, nproc)
+		dist, err := decomp.DistFor(main, d.Target, decomp.NewDecomp(d.Specs...), env, nproc)
 		if err != nil {
 			werr = fmt.Errorf("fortd: DISTRIBUTE %s: %v", d.Target, err)
 			return false
@@ -622,82 +621,31 @@ func (r *Runner) RunSPMDContext(ctx context.Context, src string, nproc int) (*Re
 	if werr != nil {
 		return nil, werr
 	}
+	return r.run(ctx, prog, nproc, dists)
+}
+
+// run executes an SPMD program with the given main-program
+// descriptors. Without WithMachine the cost model is DefaultMachine(p),
+// keeping a WithBackend choice.
+func (r *Runner) run(ctx context.Context, prog *ast.Program, p int, dists map[string]*decomp.Dist) (*Result, error) {
 	cfg := r.machine
 	if cfg.P == 0 {
 		be := cfg.Backend
-		cfg = machine.DefaultConfig(nproc)
+		cfg = machine.DefaultConfig(p)
 		cfg.Backend = be
 	}
-	rr, err := spmd.RunContext(ctx, prog, cfg, spmd.Options{
+	return result(spmd.RunContext(ctx, prog, cfg, spmd.Options{
 		Dists: dists, Init: r.init, InitScalars: r.initScalars,
 		Trace: r.trace, Faults: r.faults, Deadline: r.deadline,
-	})
+	}))
+}
+
+// result converts an evaluator result, passing its error through.
+func result(rr *spmd.RunResult, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Stats: Stats(rr.Stats), Arrays: rr.Arrays}, nil
-}
-
-// RunOptions configures a simulated execution (legacy form; the
-// Runner's functional options are the primary API).
-//
-// Deprecated: build a Runner with functional options instead —
-// NewRunner(WithInit(...), WithMachine(...), ...) — and call
-// Runner.Run/RunContext. RunOptions predates the Runner and cannot
-// express newer per-run settings (explain collection, context
-// cancellation).
-type RunOptions struct {
-	// Init seeds main-program arrays (row-major global order).
-	Init map[string][]float64
-	// InitScalars seeds main-program scalars.
-	InitScalars map[string]float64
-	// Machine overrides the cost model (zero value: DefaultMachine(P)).
-	Machine MachineConfig
-	// Trace, when non-nil, records every message of the run.
-	Trace *Trace
-	// Deadline bounds the run's wall-clock time (0: no deadline).
-	Deadline time.Duration
-	// Faults, when non-nil, injects seeded deterministic faults.
-	Faults *FaultPlan
-}
-
-func (o RunOptions) runner() *Runner {
-	return NewRunner(
-		WithMachine(o.Machine),
-		WithInit(o.Init),
-		WithInitScalars(o.InitScalars),
-		WithTrace(o.Trace),
-		WithDeadline(o.Deadline),
-		WithFaults(o.Faults),
-	)
-}
-
-// Run executes the compiled SPMD program on the simulated machine. It
-// is shorthand for NewRunner(...).Run(p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).Run(p) — or
-// Runner.RunContext for cancellation.
-func (p *Program) Run(opts RunOptions) (*Result, error) {
-	return opts.runner().Run(p)
-}
-
-// RunReference executes the original sequential program (one
-// processor, no communication) and returns the reference result. It is
-// shorthand for NewRunner(...).RunReference(p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).RunReference(p) — or
-// Runner.RunReferenceContext for cancellation.
-func (p *Program) RunReference(opts RunOptions) (*Result, error) {
-	return opts.runner().RunReference(p)
-}
-
-// RunSPMD executes hand-written SPMD node-program text on a p-processor
-// simulated machine. It is shorthand for NewRunner(...).RunSPMD(src, p).
-//
-// Deprecated: use NewRunner(WithInit(...), ...).RunSPMD(src, p) — or
-// Runner.RunSPMDContext for cancellation.
-func RunSPMD(src string, p int, opts RunOptions) (*Result, error) {
-	return opts.runner().RunSPMD(src, p)
 }
 
 // DataflowProblem is one row of the paper's Table 1: an

@@ -235,3 +235,40 @@ func TestDgefaApproachesHandWritten(t *testing.T) {
 	}
 	t.Logf("hand=%.0fµs compiled=%.0fµs ratio=%.2f", handRes.Stats.Time, compRes.Stats.Time, ratio)
 }
+
+// TestResultCompare pins the sequential-reference check: elements within
+// the tolerance match, one just past it does not, a NaN never matches,
+// and a missing element compares as NaN.
+func TestResultCompare(t *testing.T) {
+	ref := &Result{Arrays: map[string][]float64{"a": {1, 2, 3}, "b": {4, 5}}}
+	run := func(a, b []float64) *Result {
+		return &Result{Arrays: map[string][]float64{"a": a, "b": b}}
+	}
+	const tol = 1e-9
+	if m := run([]float64{1, 2 + tol/2, 3}, []float64{4, 5 - tol/2}).Compare(ref, tol); m != nil {
+		t.Errorf("within tolerance: got mismatch %+v", *m)
+	}
+	for _, tc := range []struct {
+		name  string
+		res   *Result
+		array string
+		index int
+	}{
+		{"past tolerance", run([]float64{1, 2, 3 + 1.5*tol}, []float64{4, 5}), "a", 2},
+		{"NaN element", run([]float64{1, 2, 3}, []float64{math.NaN(), 5}), "b", 0},
+		{"first of two in name order", run([]float64{1, 3, 3}, []float64{5, 5}), "a", 1},
+		{"missing element", run([]float64{1, 2, 3}, []float64{4}), "b", 1},
+	} {
+		m := tc.res.Compare(ref, tol)
+		if m == nil {
+			t.Errorf("%s: Compare = nil, want a mismatch at %s[%d]", tc.name, tc.array, tc.index)
+			continue
+		}
+		if m.Array != tc.array || m.Index != tc.index || m.Want != ref.Arrays[tc.array][tc.index] {
+			t.Errorf("%s: Compare = %+v, want %s[%d]", tc.name, *m, tc.array, tc.index)
+		}
+	}
+	if m := run([]float64{1, 2, 3}, []float64{4, 5}).Compare(&Result{Arrays: map[string][]float64{"a": {math.NaN()}}}, tol); m == nil {
+		t.Error("NaN reference element matched")
+	}
+}

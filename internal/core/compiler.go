@@ -211,7 +211,7 @@ func CompileProgramContext(ctx context.Context, prog *ast.Program, opts Options)
 
 	p := opts.P
 	if p == 0 {
-		p = nprocOf(prog)
+		p = NProcOf(prog)
 	}
 	if p < 1 {
 		return nil, fmt.Errorf("core: invalid processor count %d", p)
@@ -410,8 +410,10 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 			}
 		}
 	}
+	// an array whose descriptor cannot be built stays replicated
 	mkDist := func(name string, d decomp.Decomp) *decomp.Dist {
-		return mkDistFor(proc, name, d, env, c.P)
+		dist, _ := decomp.DistFor(proc, name, d, env, c.P)
+		return dist
 	}
 	dists := map[string]*decomp.Dist{}
 	for name, d := range firstUse {
@@ -448,33 +450,6 @@ func (c *Compilation) procDists(proc *ast.Procedure, env ast.Env, ex *explain.Co
 		}
 	}
 	return dists, atStmt, entry
-}
-
-// mkDistFor instantiates a decomposition against an array's declared
-// shape and the machine size, returning nil when bounds are not
-// compile-time constants.
-func mkDistFor(proc *ast.Procedure, name string, d decomp.Decomp, env ast.Env, p int) *decomp.Dist {
-	sym := proc.Symbols.Lookup(name)
-	if sym == nil || sym.Kind != ast.SymArray {
-		return nil
-	}
-	sizes := make([]int, len(sym.Dims))
-	for i, dim := range sym.Dims {
-		lo, okLo := ast.EvalInt(dim.Lo, env)
-		hi, okHi := ast.EvalInt(dim.Hi, env)
-		if !okLo || !okHi {
-			return nil
-		}
-		sizes[i] = hi - lo + 1
-	}
-	if len(d.Specs) != 0 && len(d.Specs) != len(sizes) {
-		return nil
-	}
-	dist, err := decomp.NewDist(d, sizes, p)
-	if err != nil {
-		return nil
-	}
-	return dist
 }
 
 func collectArrays(e ast.Expr, fn func(string)) {
@@ -547,8 +522,8 @@ func forceLocalPlan(plan *partition.Plan) {
 	plan.Delayed = map[string]*partition.Constraint{}
 }
 
-// nprocOf reads the main program's n$proc PARAMETER.
-func nprocOf(prog *ast.Program) int {
+// NProcOf reads the main program's n$proc PARAMETER, defaulting to 4.
+func NProcOf(prog *ast.Program) int {
 	main := prog.Main()
 	if main == nil {
 		return 4

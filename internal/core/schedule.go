@@ -243,7 +243,7 @@ func (pc *passCtx) fresh(n *acg.Node, out *procOut) {
 		}
 		entryDists := map[string]*decomp.Dist{}
 		for arr, d := range entry {
-			if dist := mkDistFor(proc, arr, d, env, pc.p); dist != nil {
+			if dist, err := decomp.DistFor(proc, arr, d, env, pc.p); err == nil {
 				entryDists[arr] = dist
 			}
 		}

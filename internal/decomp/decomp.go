@@ -10,6 +10,7 @@
 package decomp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -134,6 +135,27 @@ func NewDist(d Decomp, sizes []int, p int) (*Dist, error) {
 		return nil, fmt.Errorf("decomp: invalid processor count %d", p)
 	}
 	return &Dist{Decomp: d, Sizes: sizes, P: p}, nil
+}
+
+// DistFor binds d to the declared shape of proc's array name, with
+// dimension bounds evaluated under env, and to a p-processor machine.
+// It fails when name is not a declared array, when a bound is not a
+// compile-time constant, or when NewDist rejects the shape.
+func DistFor(proc *ast.Procedure, name string, d Decomp, env ast.Env, p int) (*Dist, error) {
+	sym := proc.Symbols.Lookup(name)
+	if sym == nil || sym.Kind != ast.SymArray {
+		return nil, errors.New("not a declared array")
+	}
+	sizes := make([]int, len(sym.Dims))
+	for i, dim := range sym.Dims {
+		lo, okLo := ast.EvalInt(dim.Lo, env)
+		hi, okHi := ast.EvalInt(dim.Hi, env)
+		if !okLo || !okHi {
+			return nil, fmt.Errorf("dimension %d bounds are not compile-time constants", i+1)
+		}
+		sizes[i] = hi - lo + 1
+	}
+	return NewDist(d, sizes, p)
 }
 
 // MustDist is NewDist that panics on error (for tests and literals).

@@ -4,7 +4,7 @@
 // internal/trace/analyze, optionally reruns the workload across a
 // processor sweep for the speedup curve, and hands the assembled
 // sections to analyze.WriteHTML. It is the shared engine behind
-// cmd/fdreport, `fdrun -report` and `fdbench -report`.
+// `fdrun -report` and `fdbench -report`.
 package report
 
 import (

@@ -21,7 +21,6 @@ func TestServiceConfigValidate(t *testing.T) {
 	}{
 		{"invalid base options", ServiceConfig{Options: Options{Jobs: -1}}, "Options.Jobs"},
 		{"options carry cache", ServiceConfig{Options: Options{Cache: NewSummaryCache()}}, "must not carry a cache"},
-		{"options carry cache dir", ServiceConfig{Options: Options{CacheDir: "/tmp/x"}}, "must not carry a cache"},
 		{"options carry trace", ServiceConfig{Options: Options{Trace: NewTrace()}}, "Trace"},
 		{"options carry explain", ServiceConfig{Options: Options{Explain: NewExplain()}}, "Explain"},
 		{"negative workers", ServiceConfig{Workers: -1}, "Workers"},
@@ -45,5 +44,30 @@ func TestServiceConfigValidate(t *testing.T) {
 				t.Fatalf("NewService accepted invalid config %+v", c.cfg)
 			}
 		})
+	}
+}
+
+// TestParseStrategyAndRemapLevel covers every flag spelling the CLIs
+// and the daemon accept, plus an unknown name for each.
+func TestParseStrategyAndRemapLevel(t *testing.T) {
+	for name, want := range map[string]Strategy{
+		"interproc": Interprocedural, "runtime": RuntimeResolution, "immediate": Immediate,
+	} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseStrategy("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf(`ParseStrategy("bogus") = %v, want an error naming it`, err)
+	}
+	for name, want := range map[string]RemapLevel{
+		"none": RemapNone, "live": RemapLive, "hoist": RemapHoist, "kills": RemapKills,
+	} {
+		if got, err := ParseRemapLevel(name); err != nil || got != want {
+			t.Errorf("ParseRemapLevel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseRemapLevel("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf(`ParseRemapLevel("bogus") = %v, want an error naming it`, err)
 	}
 }

@@ -106,8 +106,8 @@ func tagRequest(ctx context.Context, err error) error {
 type ServiceConfig struct {
 	// Options is the base compilation configuration; per-request
 	// options override it field by field at the transport layer. Its
-	// Cache and CacheDir must be unset — the Service owns the cache
-	// (set ServiceConfig.CacheDir for the disk tier) — and its Trace
+	// Cache must be unset — the Service owns the cache (set
+	// ServiceConfig.CacheDir for the disk tier) — and its Trace
 	// and Explain must be nil (observability is per-request).
 	Options Options
 	// CacheDir, when non-empty, backs the shared summary cache with
@@ -155,7 +155,7 @@ func (c ServiceConfig) Validate() error {
 	if err := c.Options.Validate(); err != nil {
 		return err
 	}
-	if c.Options.Cache != nil || c.Options.CacheDir != "" {
+	if c.Options.Cache != nil {
 		return fmt.Errorf("fortd: ServiceConfig.Options must not carry a cache; the Service owns it (set ServiceConfig.CacheDir for the disk tier)")
 	}
 	if c.Options.Trace != nil || c.Options.Explain != nil {
@@ -515,8 +515,8 @@ type CompileRequest struct {
 	Session string
 	// Source is the Fortran D program text.
 	Source string
-	// Options configures the compilation. Cache, CacheDir, Trace and
-	// Explain must be unset: the service attaches its shared cache and
+	// Options configures the compilation. Cache, Trace and Explain
+	// must be unset: the service attaches its shared cache and
 	// per-request collectors itself.
 	Options Options
 	// Explain requests optimization remarks in the result.
@@ -569,7 +569,7 @@ func (s *Service) compileLocked(ctx context.Context, req CompileRequest) (*Compi
 	s.compiles++
 	s.mu.Unlock()
 	opts := req.Options
-	if opts.Cache != nil || opts.CacheDir != "" || opts.Trace != nil || opts.Explain != nil {
+	if opts.Cache != nil || opts.Trace != nil || opts.Explain != nil {
 		return nil, fmt.Errorf("fortd: CompileRequest.Options must not carry a cache, trace or explain; the service owns them")
 	}
 	if err := opts.Validate(); err != nil {

@@ -234,7 +234,6 @@ func TestServiceRejectsOwnedOptions(t *testing.T) {
 	ctx := context.Background()
 	for _, opts := range []Options{
 		{Cache: NewSummaryCache()},
-		{CacheDir: t.TempDir()},
 		{Trace: NewTrace()},
 		{Explain: NewExplain()},
 	} {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -220,7 +221,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative clone limit", func(o *Options) { o.CloneLimit = -1 }, "CloneLimit"},
 		{"negative jobs", func(o *Options) { o.Jobs = -4 }, "Options.Jobs"},
 		{"negative deadline", func(o *Options) { o.Deadline = -time.Second }, "Options.Deadline"},
-		{"cache dir and cache", func(o *Options) { o.CacheDir = "/tmp/x"; o.Cache = NewSummaryCache() }, "mutually exclusive"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,39 +270,26 @@ func TestRunSPMDBadDistribute(t *testing.T) {
 	}
 }
 
-// TestRunnerMatchesLegacyRun checks that the functional-options Runner
-// and the legacy RunOptions wrappers produce identical results.
-func TestRunnerMatchesLegacyRun(t *testing.T) {
+// TestRunnerRerunIdentical checks that a Runner is stateless across
+// calls: running the same program twice gives the same result.
+func TestRunnerRerunIdentical(t *testing.T) {
 	prog, err := Compile(Fig1Src(100, 4), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := map[string][]float64{"X": Ramp(100)}
-	legacy, err := prog.Run(RunOptions{Init: init})
+	r := NewRunner(WithInit(map[string][]float64{"X": Ramp(100)}))
+	first, err := r.Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRunner, err := NewRunner(WithInit(init)).Run(prog)
+	again, err := r.Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Stats.String() != viaRunner.Stats.String() {
-		t.Errorf("runner stats %v != legacy stats %v", viaRunner.Stats, legacy.Stats)
+	if !reflect.DeepEqual(again.Stats, first.Stats) {
+		t.Errorf("rerun stats differ: %v vs %v", again.Stats, first.Stats)
 	}
-	for name, want := range legacy.Arrays {
-		got := viaRunner.Arrays[name]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], want[i])
-			}
-		}
-	}
-	// a reused Runner gives the same answer again
-	again, err := NewRunner(WithInit(init)).Run(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Stats.Time != viaRunner.Stats.Time || again.Stats.Words != viaRunner.Stats.Words {
-		t.Errorf("rerun stats differ: %v vs %v", again.Stats, viaRunner.Stats)
+	if m := again.Compare(first, 0); m != nil {
+		t.Errorf("rerun differs at %s[%d]: %v vs %v", m.Array, m.Index, m.Got, m.Want)
 	}
 }

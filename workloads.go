@@ -355,8 +355,8 @@ func Ramp(n int) []float64 {
 }
 
 // RampInit seeds every constant-sized array of src's main program with
-// a Ramp — the default initialization fdrun and fdreport use for
-// arbitrary input files. Arrays whose dimensions are not compile-time
+// a Ramp — the default initialization fdrun uses for arbitrary input
+// files. Arrays whose dimensions are not compile-time
 // constants (and programs that fail to parse) are simply skipped; the
 // compiler proper reports those errors.
 func RampInit(src string) map[string][]float64 {
